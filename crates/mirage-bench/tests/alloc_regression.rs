@@ -61,16 +61,20 @@ fn steady_state_decision_loop_is_allocation_free() {
     const K: usize = 12;
     const STEP: i64 = 600;
 
-    // A heavily oversubscribed single-user backlog, fully submitted up
-    // front: completions keep freeing nodes and queued jobs keep starting
-    // throughout the measured window, so the zero-allocation claim covers
-    // live event processing and scheduling passes, not an idle clock.
+    // A heavily oversubscribed backlog from several users, fully
+    // submitted up front: completions keep freeing nodes and queued jobs
+    // keep starting throughout the measured window, so the
+    // zero-allocation claim covers live event processing and scheduling
+    // passes, not an idle clock. Every pass ranks jobs of all `USERS`
+    // users, whose usage keeps changing, so the per-pass fair-share factor
+    // cache refills for users it has seen before inside the window.
+    const USERS: u32 = 7;
     let trace: Vec<JobRecord> = (0..2000)
         .map(|i| {
             JobRecord::new(
                 i as u64 + 1,
                 format!("bg{i}"),
-                0,
+                (i as u32 * 3) % USERS,
                 (i as i64 * 43) % (24 * HOUR),
                 1 + (i % 3) as u32,
                 8 * HOUR,
@@ -129,9 +133,10 @@ fn steady_state_decision_loop_is_allocation_free() {
         u64::from(q[1] > q[0]) + m.completed_jobs as u64
     };
 
-    // Warm-up: all arrivals enter the queue, buffers reach their peak
-    // shapes, the single user records its first completion, and the
-    // scratch arena settles into its steady take/give cycle.
+    // Warm-up: all arrivals enter the queue (interning every user at
+    // admission), buffers reach their peak shapes, users record their
+    // first completions, and the scratch arena settles into its steady
+    // take/give cycle.
     let mut checksum = 0u64;
     for _ in 0..300 {
         checksum += decision_step(

@@ -3,7 +3,8 @@
 //!
 //! Both simulators admit jobs identically (clear any recorded outcome,
 //! keep the requested id when unique, otherwise assign the next free
-//! one, clamp the submit instant to the present) and expose the same
+//! one, clamp the submit instant to the present, intern the user's
+//! fair-share slot) and expose the same
 //! recent-wait observable behind the paper's `avg` heuristic. The
 //! backend-equivalence property test depends on these behaviors not
 //! drifting apart, so they live here with one implementation each.
@@ -12,17 +13,23 @@ use std::collections::{HashMap, VecDeque};
 
 use mirage_trace::JobRecord;
 
+use crate::priority::FairshareTracker;
+
 /// Prepares `job` for admission at simulated time `now`: resets its
 /// outcome fields, resolves its id against `id_map`/`next_id`, tracks
-/// the earliest submission in `first_submit`, and returns
-/// `(id, effective_submit)`.
+/// the earliest submission in `first_submit`, interns its user in
+/// `fairshare`, and returns `(id, effective_submit, user_slot)`.
+///
+/// Admission is the only place a user id is hashed: the returned slot is
+/// stored on the job and indexes fair-share usage from then on.
 pub(crate) fn prepare_admission(
     job: &mut JobRecord,
     now: i64,
     id_map: &HashMap<u64, usize>,
     next_id: &mut u64,
     first_submit: &mut Option<i64>,
-) -> (u64, i64) {
+    fairshare: &mut FairshareTracker,
+) -> (u64, i64, u32) {
     job.start = None;
     job.end = None;
     if job.id == 0 || id_map.contains_key(&job.id) {
@@ -35,7 +42,7 @@ pub(crate) fn prepare_admission(
     *next_id = (*next_id).max(job.id + 1);
     let submit = job.submit.max(now);
     *first_submit = Some(first_submit.map_or(submit, |f| f.min(submit)));
-    (job.id, submit)
+    (job.id, submit, fairshare.intern(job.user))
 }
 
 /// Rolling `(start_time, wait)` log of dispatches — the observable
@@ -117,9 +124,12 @@ mod tests {
         let id_map = HashMap::new();
         let mut next_id = 1;
         let mut first = None;
+        let mut fs = FairshareTracker::new();
         let mut j = job(7, 40);
-        let (id, submit) = prepare_admission(&mut j, 10, &id_map, &mut next_id, &mut first);
+        let (id, submit, slot) =
+            prepare_admission(&mut j, 10, &id_map, &mut next_id, &mut first, &mut fs);
         assert_eq!(id, 7);
+        assert_eq!(slot, fs.intern(j.user), "admission interned the user");
         assert_eq!(submit, 40);
         assert_eq!(next_id, 8);
         assert_eq!(first, Some(40));
@@ -133,13 +143,16 @@ mod tests {
         id_map.insert(8u64, 1usize);
         let mut next_id = 7;
         let mut first = Some(5);
+        let mut fs = FairshareTracker::new();
         let mut dup = job(7, 2);
-        let (id, submit) = prepare_admission(&mut dup, 10, &id_map, &mut next_id, &mut first);
+        let (id, submit, _) =
+            prepare_admission(&mut dup, 10, &id_map, &mut next_id, &mut first, &mut fs);
         assert_eq!(id, 9, "skips the taken 7 and 8");
         assert_eq!(submit, 10, "past submits clamp to now");
         assert_eq!(first, Some(5), "earlier first submit wins");
         let mut zero = job(0, 20);
-        let (id2, _) = prepare_admission(&mut zero, 10, &id_map, &mut next_id, &mut first);
+        let (id2, ..) =
+            prepare_admission(&mut zero, 10, &id_map, &mut next_id, &mut first, &mut fs);
         assert_eq!(id2, 10);
     }
 }

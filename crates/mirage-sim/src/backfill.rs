@@ -22,6 +22,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::priority::RankKey;
+
 /// Backfill flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackfillPolicy {
@@ -65,6 +67,50 @@ struct Reservation {
 pub struct PlanScratch {
     releases: Vec<(i64, u32)>,
     reservations: Vec<Reservation>,
+}
+
+/// Working memory of one scheduling pass — the ranked queue, the
+/// planner's inputs and its verdict — reused across passes by both
+/// simulators, so a warm pass allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    /// Ranked pending jobs ([`crate::priority::rank_pending`]).
+    pub(crate) order: Vec<RankKey>,
+    /// Positions in `order` to start now, filled by [`Self::plan`].
+    pub(crate) starts: Vec<usize>,
+    views: Vec<PendingView>,
+    releases: Vec<(i64, u32)>,
+    plan: PlanScratch,
+}
+
+impl PassScratch {
+    /// Plans the ranked `order` with [`plan_schedule_into`]: `view`
+    /// describes the job at an arena index and `releases` yields each
+    /// running job's `(estimated_release_time, nodes)`.
+    pub(crate) fn plan(
+        &mut self,
+        view: impl Fn(usize) -> PendingView,
+        releases: impl Iterator<Item = (i64, u32)>,
+        free_nodes: u32,
+        total_nodes: u32,
+        now: i64,
+        policy: BackfillPolicy,
+    ) {
+        self.views.clear();
+        self.views.extend(self.order.iter().map(|k| view(k.3)));
+        self.releases.clear();
+        self.releases.extend(releases);
+        plan_schedule_into(
+            &self.views,
+            free_nodes,
+            total_nodes,
+            now,
+            &self.releases,
+            policy,
+            &mut self.plan,
+            &mut self.starts,
+        );
+    }
 }
 
 /// Decides which pending jobs start now (allocating convenience wrapper
@@ -116,6 +162,10 @@ pub fn plan_schedule_into(
     starts.clear();
     let releases = &mut scratch.releases;
     releases.clear();
+    // Phase 1 adds at most one release per pending job: size for that up
+    // front, so the buffer grows only with the queue, not mid-pass when
+    // the running set peaks.
+    releases.reserve(running.len() + pending.len());
     releases.extend_from_slice(running);
 
     // Phase 1: strict priority order until the first blocked job.
@@ -191,17 +241,17 @@ pub fn plan_schedule_into(
             continue;
         }
         let est_end = now + p.timelimit;
-        let harmless = reservations.iter_mut().all(|r| {
-            if est_end <= r.shadow {
-                true // returns its nodes before the reserved job needs them
-            } else if p.nodes <= r.extra {
-                r.extra -= p.nodes; // consumes spare capacity at the shadow
-                true
-            } else {
-                false
-            }
-        });
+        // A candidate is harmless to a reservation if it returns its nodes
+        // before the reserved job needs them, or fits in the spare capacity
+        // at the shadow. Every reservation must agree before any spare
+        // capacity is consumed, so a rejection leaves all of it intact.
+        let harmless = reservations
+            .iter()
+            .all(|r| est_end <= r.shadow || p.nodes <= r.extra);
         if harmless {
+            for r in reservations.iter_mut().filter(|r| est_end > r.shadow) {
+                r.extra -= p.nodes;
+            }
             free -= p.nodes;
             starts.push(bi);
         }
@@ -306,6 +356,21 @@ mod tests {
         let deep = BackfillPolicy::Easy { reserve_depth: 2 };
         let starts = plan_schedule(&pending, 4, 8, 0, &[(50, 4)], deep);
         assert_eq!(starts, vec![2]);
+    }
+
+    #[test]
+    fn rejected_candidate_leaves_spare_capacity_intact() {
+        // 8 total, 2 free; 4 nodes release at t=50 and 2 more at t=100.
+        // Depth 2 reserves A(4): shadow 50, extra 6 − 4 = 2; and B(4),
+        // with A's 4 promised: shadow 100, extra 8 − 4 − 4 = 0.
+        let deep = BackfillPolicy::Easy { reserve_depth: 2 };
+        let running = [(50, 4), (100, 2)];
+        // C(2 nodes, ends at 200) fits r1's spare capacity but r2 refuses
+        // it. D(1 node, ends at 80) runs past r1's shadow and needs one of
+        // r1's spare nodes, which C's rejection must not have consumed.
+        let pending = [p(4, 1000), p(4, 1000), p(2, 200), p(1, 80)];
+        let starts = plan_schedule(&pending, 2, 8, 0, &running, deep);
+        assert_eq!(starts, vec![3]);
     }
 
     #[test]

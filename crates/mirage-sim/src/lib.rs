@@ -13,18 +13,18 @@
 //! * [`ReferenceSimulator`] — a tick-driven stand-in for the "standard
 //!   Slurm simulator" the paper validates against: the main priority pass
 //!   and the backfill pass run on their own fixed cadences (as in
-//!   production `slurmctld`), so jobs start only on scheduler ticks. It is
-//!   deliberately slower and anchors the §5.2 fidelity study
-//!   ([`fidelity`]).
+//!   production `slurmctld`), so jobs start only on scheduler ticks.
+//!   Walking every tick makes it slower, and it anchors the §5.2 fidelity
+//!   study ([`fidelity`]).
 //! * [`BackendPool`] — N independently seeded backends fanned out over
 //!   std threads, for parallel episode collection. Workers are
 //!   supervised: a panicking task is caught, its backend rebuilt, and
 //!   the task retried under a bounded budget ([`PoolHealth`] counts the
 //!   incidents).
 //!
-//! Both simulators share one scheduling-plan core
-//! ([`backfill::plan_schedule`]: multifactor priority + EASY backfill) and
-//! are selected *by value* through the builder:
+//! Both simulators share one scheduling-plan core (the multifactor
+//! ranking `priority::rank_pending` feeding [`backfill::plan_schedule`]'s
+//! EASY backfill) and are selected *by value* through the builder:
 //!
 //! ```
 //! use mirage_sim::{BackendKind, ClusterBackend, SimConfig};

@@ -10,9 +10,12 @@
 //! * job starts therefore happen only on scheduler ticks, even though
 //!   completions free nodes at their exact instants.
 //!
-//! Walking every tick makes it deliberately slower than the event-driven
-//! [`crate::Simulator`] — the overhead gap is part of the §5.2 claim
-//! (3–26× in the paper).
+//! Its scheduling pass is as lean as the fast simulator's: the same
+//! hash-free ranking (`priority::rank_pending`, here over the
+//! whole queue) and the same reused plan buffers. It is slower than the
+//! event-driven [`crate::Simulator`] only because it walks every tick and
+//! reschedules on its own cadence whether or not anything changed; that
+//! gap is the §5.2 claim (3–26× in the paper).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -22,11 +25,11 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, RecentStarts};
-use crate::backfill::{plan_schedule, BackfillPolicy, PendingView};
+use crate::backfill::{BackfillPolicy, PassScratch, PendingView};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::priority::{priority, FairshareTracker, PriorityWeights};
+use crate::priority::{rank_pending, FairshareTracker, PriorityWeights, RankInput};
 use crate::simulator::JobStatus;
 use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
 
@@ -152,6 +155,9 @@ pub struct ReferenceSimulator {
     pool_alloc: Vec<Vec<u32>>,
     /// Whether the job's current attempt drew a contention slowdown.
     slowed: Vec<bool>,
+    /// Per-job fair-share slot of the submitting user, interned at
+    /// admission.
+    user_slot: Vec<u32>,
     pending: Vec<usize>,
     running: Vec<usize>, // arena indices of running jobs (<= nodes entries)
     id_map: HashMap<u64, usize>,
@@ -165,6 +171,9 @@ pub struct ReferenceSimulator {
     recent_starts: RecentStarts,
     /// Arena indices of done jobs, kept `(end, id)`-sorted incrementally.
     completed_order: Vec<usize>,
+    /// Scheduling-pass buffers, as in the fast simulator. Boxed so the
+    /// two `AnyBackend` variants stay close in size.
+    pass: Box<PassScratch>,
 }
 
 impl ReferenceSimulator {
@@ -201,6 +210,7 @@ impl ReferenceSimulator {
             job_faults_v: Vec::new(),
             pool_alloc: Vec::new(),
             slowed: Vec::new(),
+            user_slot: Vec::new(),
             pending: Vec::new(),
             running: Vec::new(),
             id_map: HashMap::new(),
@@ -214,6 +224,7 @@ impl ReferenceSimulator {
             last_backfill: i64::MIN / 4,
             recent_starts: RecentStarts::default(),
             completed_order: Vec::new(),
+            pass: Box::default(),
         }
     }
 
@@ -239,12 +250,13 @@ impl ReferenceSimulator {
     }
 
     fn insert_future(&mut self, mut job: JobRecord) -> u64 {
-        let (id, submit) = prepare_admission(
+        let (id, submit, user_slot) = prepare_admission(
             &mut job,
             self.now,
             &self.id_map,
             &mut self.next_id,
             &mut self.first_submit,
+            &mut self.fairshare,
         );
         let idx = self.jobs.len();
         self.jobs.push(job);
@@ -255,6 +267,7 @@ impl ReferenceSimulator {
         self.job_faults_v.push(JobFaults::default());
         self.pool_alloc.push(Vec::new());
         self.slowed.push(false);
+        self.user_slot.push(user_slot);
         self.id_map.insert(id, idx);
         self.arrivals.push(Reverse((submit, idx)));
         id
@@ -487,7 +500,7 @@ impl ReferenceSimulator {
                 }
             }
             let consumed = f64::from(self.jobs[idx].nodes) * (t - start) as f64;
-            self.fairshare.record(self.jobs[idx].user, consumed);
+            self.fairshare.record(self.user_slot[idx], consumed);
         }
         // Crash/recovery tape entries inside this tick. Running them after
         // the tick's completions is a deliberate coarsening (ticks are the
@@ -628,7 +641,7 @@ impl ReferenceSimulator {
         self.free_nodes += self.jobs[idx].nodes;
         self.release_pools(idx);
         let consumed = f64::from(self.jobs[idx].nodes) * (t - start) as f64;
-        self.fairshare.record(self.jobs[idx].user, consumed);
+        self.fairshare.record(self.user_slot[idx], consumed);
         self.unlink_running(idx);
         self.job_faults_v[idx].evictions += 1;
         self.evicted_at[idx] = t;
@@ -652,58 +665,49 @@ impl ReferenceSimulator {
         if self.pending.is_empty() {
             return;
         }
-        let capacity_ns = f64::from(self.cfg.nodes) * self.cfg.weights.fairshare_halflife as f64;
-        self.fairshare
-            .decay_to(self.now, self.cfg.weights.fairshare_halflife);
-        let w = self.cfg.weights;
-        let mut order = self.pending.clone();
-        let mut prio: HashMap<usize, f64> = HashMap::with_capacity(order.len());
-        for &i in &order {
-            let r = &self.jobs[i];
-            let usage = self.fairshare.normalized_usage(r.user, capacity_ns);
-            prio.insert(
-                i,
-                priority(&w, self.now - r.submit, r.nodes, self.cfg.nodes, usage),
-            );
-        }
-        order.sort_by(|&a, &b| {
-            prio[&b]
-                .partial_cmp(&prio[&a])
-                .unwrap()
-                .then(self.jobs[a].submit.cmp(&self.jobs[b].submit))
-                .then(self.jobs[a].id.cmp(&self.jobs[b].id))
-        });
-        let views: Vec<PendingView> = order
-            .iter()
-            .map(|&i| PendingView {
-                nodes: self.jobs[i].nodes,
-                timelimit: self.jobs[i].timelimit,
-            })
-            .collect();
-        let releases: Vec<(i64, u32)> = self
-            .running
-            .iter()
-            .map(|&i| {
-                let RefStatus::Running { start } = self.status[i] else {
+        let (jobs, slots, status) = (&self.jobs, &self.user_slot, &self.status);
+        let pass = &mut *self.pass;
+        rank_pending(
+            &mut self.fairshare,
+            &self.cfg.weights,
+            self.now,
+            self.cfg.nodes,
+            &self.pending,
+            |i| RankInput {
+                slot: slots[i],
+                submit: jobs[i].submit,
+                nodes: jobs[i].nodes,
+                id: jobs[i].id,
+            },
+            usize::MAX,
+            &mut pass.order,
+        );
+        // Crashed nodes are invisible to the planner until they recover
+        // (same rule as the fast simulator).
+        pass.plan(
+            |i| PendingView {
+                nodes: jobs[i].nodes,
+                timelimit: jobs[i].timelimit,
+            },
+            self.running.iter().map(|&i| {
+                let RefStatus::Running { start } = status[i] else {
                     unreachable!("running list holds only running jobs");
                 };
                 // The scheduler only knows the *limit*, not the real
                 // runtime.
-                (start + self.jobs[i].timelimit, self.jobs[i].nodes)
-            })
-            .collect();
-        // Crashed nodes are invisible to the planner until they recover
-        // (same rule as the fast simulator).
-        let starts = plan_schedule(
-            &views,
+                (start + jobs[i].timelimit, jobs[i].nodes)
+            }),
             self.free_nodes,
             self.cfg.nodes - self.down_nodes,
             self.now,
-            &releases,
             policy,
         );
-        let started: Vec<usize> = starts.iter().map(|&s| order[s]).collect();
-        for &idx in &started {
+        if pass.starts.is_empty() {
+            return;
+        }
+        let starts = std::mem::take(&mut self.pass.starts);
+        for &s in &starts {
+            let idx = self.pass.order[s].3;
             self.status[idx] = RefStatus::Running { start: self.now };
             self.run_slot[idx] = self.running.len();
             self.running.push(idx);
@@ -750,7 +754,9 @@ impl ReferenceSimulator {
                 }
             }
         }
-        self.pending.retain(|i| !started.contains(i));
+        self.pass.starts = starts;
+        self.pending
+            .retain(|&i| matches!(self.status[i], RefStatus::Pending));
     }
 
     /// Completed jobs (start/end filled), ordered by `(end, id)` — a

@@ -13,12 +13,12 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, RecentStarts};
-use crate::backfill::{plan_schedule_into, BackfillPolicy, PendingView, PlanScratch};
+use crate::backfill::{BackfillPolicy, PassScratch, PendingView};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::priority::{priority, FairshareTracker, PriorityWeights};
+use crate::priority::{rank_pending, FairshareTracker, PriorityWeights, RankInput};
 use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
 
 /// Simulator configuration.
@@ -143,6 +143,8 @@ struct SimJob {
     /// Whether the current attempt's placement drew a slowdown (> 1.0
     /// runtime scale), for the contention metric.
     slowed: bool,
+    /// The user's fair-share slot, interned at admission.
+    user_slot: u32,
 }
 
 /// Event-driven Slurm simulator.
@@ -193,11 +195,7 @@ pub struct Simulator {
     first_completed_submit: Option<i64>,
     // Scratch buffers reused across scheduling passes (perf-book: reuse
     // workhorse collections instead of reallocating in the hot loop).
-    scratch_order: Vec<(f64, i64, u64, usize)>,
-    scratch_views: Vec<PendingView>,
-    scratch_releases: Vec<(i64, u32)>,
-    scratch_starts: Vec<usize>,
-    scratch_plan: PlanScratch,
+    pass: PassScratch,
 }
 
 impl Simulator {
@@ -238,11 +236,7 @@ impl Simulator {
             jct_sum: 0.0,
             last_end: 0,
             first_completed_submit: None,
-            scratch_order: Vec::new(),
-            scratch_views: Vec::new(),
-            scratch_releases: Vec::new(),
-            scratch_starts: Vec::new(),
-            scratch_plan: PlanScratch::default(),
+            pass: PassScratch::default(),
         };
         for ev in sim.cfg.faults.node_schedule(sim.cfg.nodes) {
             let kind = if ev.up {
@@ -344,12 +338,13 @@ impl Simulator {
     }
 
     fn insert_future(&mut self, mut job: JobRecord) -> u64 {
-        let (id, submit) = prepare_admission(
+        let (id, submit, user_slot) = prepare_admission(
             &mut job,
             self.now,
             &self.id_map,
             &mut self.next_id,
             &mut self.first_submit,
+            &mut self.fairshare,
         );
         let idx = self.jobs.len();
         self.jobs.push(SimJob {
@@ -361,6 +356,7 @@ impl Simulator {
             faults: JobFaults::default(),
             pool_alloc: Vec::new(),
             slowed: false,
+            user_slot,
         });
         self.id_map.insert(id, idx);
         // Steady-state allocation hygiene: every job contributes at most
@@ -638,10 +634,9 @@ impl Simulator {
             }
         }
         let consumed = f64::from(job.record.nodes) * (now - start) as f64;
-        let user = job.record.user;
         let submit = job.record.submit;
         let id = job.record.id;
-        self.fairshare.record(user, consumed);
+        self.fairshare.record(job.user_slot, consumed);
 
         // O(1) removal from the running list via the stored slot index.
         let slot = job.run_slot;
@@ -827,7 +822,7 @@ impl Simulator {
             }
         }
         let consumed = f64::from(job.record.nodes) * (now - start) as f64;
-        self.fairshare.record(job.record.user, consumed);
+        self.fairshare.record(job.user_slot, consumed);
         job.faults.evictions += 1;
         job.evicted_at = now;
         let attempt = job.attempt;
@@ -868,79 +863,57 @@ impl Simulator {
         if self.pending.is_empty() || self.free_nodes < self.min_pending_nodes {
             return;
         }
-        let capacity_ns = f64::from(self.cfg.nodes) * self.cfg.weights.fairshare_halflife as f64;
-        self.fairshare
-            .decay_to(self.now, self.cfg.weights.fairshare_halflife);
-
-        let w = self.cfg.weights;
-        let now = self.now;
-        let total = self.cfg.nodes;
-
-        // (−priority, submit, id, idx): ascending sort gives descending
-        // priority with FIFO tie-breaks, no hashing in the hot loop.
-        let order = &mut self.scratch_order;
-        order.clear();
-        order.reserve(self.pending.len());
-        for &i in &self.pending {
-            let r = &self.jobs[i].record;
-            let usage = self.fairshare.normalized_usage(r.user, capacity_ns);
-            let p = priority(&w, now - r.submit, r.nodes, total, usage);
-            order.push((-p, r.submit, r.id, i));
-        }
-        // total_cmp on the leading (finite, non-NaN) priority key:
-        // branchless float compares make this per-event sort noticeably
-        // cheaper than partial_cmp + unwrap.
-        let key_cmp = |a: &(f64, i64, u64, usize), b: &(f64, i64, u64, usize)| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
-        };
-        let depth = self.cfg.sched_depth.max(1);
-        if order.len() > depth {
-            order.select_nth_unstable_by(depth - 1, key_cmp);
-            order.truncate(depth);
-        }
-        order.sort_unstable_by(key_cmp);
-
-        self.scratch_views.clear();
-        self.scratch_views
-            .extend(order.iter().map(|&(_, _, _, i)| PendingView {
-                nodes: self.jobs[i].record.nodes,
-                timelimit: self.jobs[i].record.timelimit,
-            }));
-        self.scratch_releases.clear();
-        self.scratch_releases.extend(self.running.iter().map(|&i| {
-            let j = &self.jobs[i];
-            let JobStatus::Running { start } = j.status else {
-                unreachable!()
-            };
-            // The scheduler only knows the *limit*, not the real runtime.
-            (start + j.record.timelimit, j.record.nodes)
-        }));
-
-        let mut starts = std::mem::take(&mut self.scratch_starts);
+        let jobs = &self.jobs;
+        let pass = &mut self.pass;
+        rank_pending(
+            &mut self.fairshare,
+            &self.cfg.weights,
+            self.now,
+            self.cfg.nodes,
+            &self.pending,
+            |i| {
+                let j = &jobs[i];
+                RankInput {
+                    slot: j.user_slot,
+                    submit: j.record.submit,
+                    nodes: j.record.nodes,
+                    id: j.record.id,
+                }
+            },
+            self.cfg.sched_depth,
+            &mut pass.order,
+        );
         // The planner sees only physically available capacity: crashed
         // nodes cannot host a reservation until they recover. Priority and
         // fairshare above keep the nominal partition size, matching how
         // Slurm's multifactor weights stay fixed across drained nodes.
-        plan_schedule_into(
-            &self.scratch_views,
+        pass.plan(
+            |i| PendingView {
+                nodes: jobs[i].record.nodes,
+                timelimit: jobs[i].record.timelimit,
+            },
+            self.running.iter().map(|&i| {
+                let j = &jobs[i];
+                let JobStatus::Running { start } = j.status else {
+                    unreachable!()
+                };
+                // The scheduler only knows the *limit*, not the real runtime.
+                (start + j.record.timelimit, j.record.nodes)
+            }),
             self.free_nodes,
             self.cfg.nodes - self.down_nodes,
             self.now,
-            &self.scratch_releases,
             self.cfg.backfill,
-            &mut self.scratch_plan,
-            &mut starts,
         );
-        if starts.is_empty() {
-            self.scratch_starts = starts;
+        if pass.starts.is_empty() {
             return;
         }
+        let starts = std::mem::take(&mut self.pass.starts);
         for &s in &starts {
-            let idx = self.scratch_order[s].3;
+            let idx = self.pass.order[s].3;
             self.start_job(idx);
         }
-        self.scratch_starts = starts;
+        self.pass.starts = starts;
         self.pending
             .retain(|&i| matches!(self.jobs[i].status, JobStatus::Pending));
         // Starts removed pending jobs: recompute the exact bound (cheap

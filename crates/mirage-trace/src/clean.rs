@@ -15,7 +15,7 @@
 //! Dependencies between jobs are *not* reconstructed — like the paper, we
 //! treat dependent jobs as independent submissions at different times.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -70,8 +70,13 @@ pub fn clean_trace(jobs: &[JobRecord], partition_nodes: u32) -> (Vec<JobRecord>,
 /// Merges sub-jobs sharing a `<prefix>_<index>` name (same user) into one
 /// record. Returns (jobs, merged group count, absorbed record count).
 fn merge_subjobs(jobs: Vec<JobRecord>) -> (Vec<JobRecord>, usize, usize) {
-    // Group indices by (user, name prefix).
-    let mut groups: HashMap<(u32, String), Vec<usize>> = HashMap::new();
+    // Group indices by (user, name prefix). An ordered map visits groups
+    // in key order, and it builds and frees its keys and index lists in
+    // the same order in every process: a `HashMap` freed them in its
+    // per-process random order, which moved later heap layout, and with
+    // it the peak RSS of a program that cleans a trace, between
+    // identical runs.
+    let mut groups: BTreeMap<(u32, String), Vec<usize>> = BTreeMap::new();
     for (i, j) in jobs.iter().enumerate() {
         if let Some((prefix, _)) = j.subjob_key() {
             groups
@@ -86,10 +91,7 @@ fn merge_subjobs(jobs: Vec<JobRecord>) -> (Vec<JobRecord>, usize, usize) {
     let mut groups_merged = 0usize;
     let mut subjobs_absorbed = 0usize;
 
-    let mut keys: Vec<_> = groups.keys().cloned().collect();
-    keys.sort(); // deterministic iteration order
-    for key in keys {
-        let members = &groups[&key];
+    for (key, members) in &groups {
         if members.len() < 2 {
             continue; // a lone "_3" suffix is just a name, not a chain
         }
